@@ -611,11 +611,11 @@ fn overload_section() {
     }
 }
 
-/// Scan telemetry: runs plain and prepared corpus scans over a seeded
-/// corpus, prints the server's metrics snapshot, cross-checks the
-/// measured pairing counter against the legacy `SearchStats`
-/// accounting, and writes the JSON artifact CI uploads
-/// (`APKS_METRICS_OUT`, default `metrics-snapshot.json`).
+/// Scan telemetry: runs a prepared server scan over a seeded corpus
+/// beside the unprepared per-document baseline, prints the server's
+/// metrics snapshot, cross-checks the measured pairing counter against
+/// the legacy `SearchStats` accounting, and writes the JSON artifact CI
+/// uploads (`APKS_METRICS_OUT`, default `metrics-snapshot.json`).
 fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     use apks_authz::IbsAuthority;
     use apks_cloud::CloudServer;
@@ -649,9 +649,17 @@ fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
         .gen_cap(&pk, &msk, &query, &QueryPolicy::permissive(), &mut rng)
         .unwrap();
 
-    // one unprepared baseline scan, one prepared parallel scan
-    let (_, plain_stats) = server.scan_with_mode(&cap, 1, false).unwrap();
-    let (_, prep_stats) = server.scan(&cap, 2).unwrap();
+    // the unprepared per-document baseline runs beside the server, so
+    // only the prepared parallel scan lands in its `cloud.scan.*` ledger
+    let plain: Vec<_> = server
+        .doc_ids()
+        .into_iter()
+        .filter(|&id| {
+            let idx = server.document(id).unwrap().expect("stored document");
+            system.search(&pk, &cap, &idx).unwrap()
+        })
+        .collect();
+    let (prep, prep_stats) = server.scan(&cap, 2).unwrap();
     let snap = server.metrics_snapshot();
 
     println!("```");
@@ -659,7 +667,7 @@ fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     println!("```");
     println!();
     let measured = snap.counter("cloud.scan.pairings").unwrap_or(0);
-    let legacy = (plain_stats.pairings + prep_stats.pairings) as u64;
+    let legacy = prep_stats.pairings as u64;
     println!(
         "pairing cross-check: telemetry {measured} vs SearchStats {legacy} — {}",
         if measured == legacy {
@@ -667,6 +675,10 @@ fn metrics_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
         } else {
             "MISMATCH"
         }
+    );
+    println!(
+        "unprepared baseline agrees with the prepared scan: {}",
+        if plain == prep { "yes" } else { "NO — BUG" }
     );
 
     let path = std::env::var("APKS_METRICS_OUT").unwrap_or_else(|_| "metrics-snapshot.json".into());
@@ -683,7 +695,7 @@ fn resilience_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     use apks_authz::IbsAuthority;
     use apks_cloud::CloudServer;
     use apks_core::fault::{FaultConfig, FaultContext, FaultPlan, RetryPolicy, VirtualClock};
-    use apks_core::{ApksSystem, FieldValue, QueryPolicy, Record, Schema};
+    use apks_core::{ApksSystem, Budget, Deadline, FieldValue, QueryPolicy, Record, Schema};
 
     const DOCS: usize = 40;
     println!();
@@ -725,7 +737,9 @@ fn resilience_section(params: &std::sync::Arc<apks_curve::CurveParams>) {
     let policy = RetryPolicy::default();
     let clock = VirtualClock::default();
     let ctx = FaultContext::new(&plan, &policy, &clock);
-    let degraded = server.scan_degraded(&cap, 1, &ctx).unwrap();
+    let degraded = server
+        .scan_bounded(&cap, &ctx, Deadline::NEVER, &Budget::unlimited(), 0)
+        .unwrap();
 
     println!("| mode | scanned | matched | skipped | retries | scan time |");
     println!("|------|---------|---------|---------|---------|-----------|");

@@ -51,9 +51,9 @@
 //! fan each document to all `R` replicas, so every replica of a
 //! partition holds the identical corpus slice in identical scan order.
 //! A wave scans **one** replica per partition: the first whose breaker
-//! admits it, failing over to the next on an open breaker, a failed
+//! admits it, failing over to the next on an open breaker or a failed
 //! [`CloudServer::probe`] (a replica whose store has crashed or become
-//! unreachable), or a [`SearchOutcome::Corpus`] scan error. Because replicas are identical and fault schedules are pure
+//! unreachable). Because replicas are identical and fault schedules are pure
 //! functions of document ids, the merged results are byte-equal to an
 //! `R = 1` deployment over the same partitions no matter which replica
 //! serves — failover changes latency, never answers. Only when *every*
@@ -62,11 +62,6 @@
 //! [`ShardRouter::anti_entropy`] heals replicas that drifted (content
 //! compared by canonical-encoding digest, majority wins, ties to the
 //! lowest replica index) by re-shipping the winning copy.
-//!
-//! Budget caveat: a mid-scan failover abandons a partial scan whose
-//! pairings were already charged to the wave's shared [`Budget`] — the
-//! work genuinely happened, so the ledger keeps it, exactly as a real
-//! deployment pays for a scan a crashed replica never finished.
 
 use crate::backend::CorpusError;
 use crate::server::{
@@ -319,9 +314,11 @@ impl ShardRouter {
     ///
     /// Fails if any capability is rejected by any scanned shard (all
     /// shards hold the same deployment, so the first shard decides).
-    /// [`SearchOutcome::Corpus`] faults are *not* returned — they fail
-    /// the wave over to the partition's next replica, and with no
-    /// replica left the partition becomes an explicit gap.
+    /// Storage faults are *not* returned: a replica failing its
+    /// [`CloudServer::probe`] fails the wave over to the partition's
+    /// next replica, with no replica left the partition becomes an
+    /// explicit gap, and per-document hydrate failures degrade into
+    /// `faulted`.
     pub fn search_batched(
         &self,
         requests: &[(&SignedCapability, Deadline, &Budget)],
@@ -401,15 +398,13 @@ impl ShardRouter {
             let sub: Vec<(&SignedCapability, Deadline, &Budget)> =
                 live_idx.iter().map(|&q| requests[q]).collect();
 
-            // Try each admitted replica in order; a mid-scan corpus
-            // fault records a breaker failure and fails the wave over
-            // to the next. Parallel partitions scan on a clock forked
-            // at the scatter tick (failed attempts push the fork point
-            // forward — failover is serial latency even when the
-            // partitions themselves overlap); serial partitions share
-            // the deployment clock directly.
+            // Try each admitted replica in order; a failed probe records
+            // a breaker failure and fails the wave over to the next.
+            // The wave itself never fails over: it absorbs per-document
+            // hydrate failures into `faulted`. Parallel partitions scan
+            // on a clock forked at the scatter tick; serial partitions
+            // share the deployment clock directly.
             let mut served: Option<(usize, Vec<DegradedScan>, u64)> = None;
-            let mut attempt_offset = 0u64;
             for &r in &admitted {
                 let s = base + r;
                 let child;
@@ -417,7 +412,7 @@ impl ShardRouter {
                     ClockModel::Serial => &self.clock,
                     ClockModel::Parallel => {
                         child = VirtualClock::new();
-                        child.advance(scatter + attempt_offset);
+                        child.advance(scatter);
                         &child
                     }
                 };
@@ -430,22 +425,12 @@ impl ShardRouter {
                     continue;
                 }
                 let ctx = FaultContext::new(plan, policy, scan_clock);
-                match self.shards[s].search_batched(&sub, &ctx, doc_cost_ticks) {
-                    Ok(scans) => {
-                        let elapsed = attempt_offset + scan_clock.now().saturating_sub(start);
-                        served = Some((r, scans, elapsed));
-                        break;
-                    }
-                    Err(SearchOutcome::Corpus(_)) => {
-                        attempt_offset += scan_clock.now().saturating_sub(start);
-                        self.breakers[s].record_failure(scan_clock.now());
-                        self.metrics.add("cloud.replica.scan_failovers", 1);
-                    }
-                    Err(fatal) => return Err(fatal),
-                }
+                let scans = self.shards[s].search_batched(&sub, &ctx, doc_cost_ticks)?;
+                served = Some((r, scans, scan_clock.now().saturating_sub(start)));
+                break;
             }
             let Some((r, scans, elapsed)) = served else {
-                // every admitted replica faulted mid-scan: the live
+                // every admitted replica failed its probe: the live
                 // queries get the partition as an explicit gap (dead
                 // queries already did, above)
                 skipped += 1;
@@ -455,7 +440,7 @@ impl ShardRouter {
                     replica: 0,
                     skipped: true,
                     docs: self.shards[base].len(),
-                    elapsed_ticks: attempt_offset,
+                    elapsed_ticks: 0,
                     deadline_failed: false,
                 });
                 continue;
@@ -463,8 +448,9 @@ impl ShardRouter {
             let s = base + r;
             if r != 0 {
                 self.metrics.add("cloud.replica.failovers", 1);
-                self.metrics
-                    .record("cloud.replica.failover_ticks", attempt_offset);
+                // probe failovers happen at the partition door, before
+                // any scan work: they add no virtual ticks
+                self.metrics.record("cloud.replica.failover_ticks", 0);
             }
             straggler = straggler.max(elapsed);
 
