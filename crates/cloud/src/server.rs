@@ -141,10 +141,15 @@ impl Ledger {
 ///
 /// Keys are the SHA-256 of the capability's canonical encoding, so two
 /// structurally identical capabilities share an entry regardless of
-/// which shard prepared first. The map is unbounded: entries are tiny
-/// relative to a scan and a deployment sees few distinct capabilities
-/// in flight. Lookups never advance any clock — installing the cache
-/// cannot perturb a virtual-clock simulation's timeline.
+/// which shard prepared first. Lookups never advance any clock —
+/// installing the cache cannot perturb a virtual-clock simulation's
+/// timeline.
+///
+/// The map is **unbounded**, and entries are not small: a prepared
+/// coordinate stores 159 Miller steps of 272 bytes (about 43 KB), so
+/// one capability holds about 1.34 MB at n = 28 and about 0.56 MB at
+/// n = 10. A client presenting distinct capabilities grows it without
+/// limit; bounding it is ROADMAP open item 4.
 #[derive(Default)]
 pub struct PreparedCache {
     map: RwLock<HashMap<[u8; 32], Arc<PreparedCapability>>>,
@@ -1293,6 +1298,43 @@ mod tests {
     }
 
     use apks_core::fault::{FaultConfig, FaultPlan, RetryPolicy, VirtualClock};
+
+    #[test]
+    fn unpreparable_capability_is_an_error_not_a_panic() {
+        // `G1Affine::from_bytes` accepts the on-curve 2-torsion point
+        // (0, 0); in a capability it must fail preparation, not the
+        // server thread
+        let (server, ta, mut rng) = deployment();
+        upload_corpus(&server, &ta, &mut rng);
+        let mut cap = ta
+            .issue_capability(
+                &Query::new().equals("illness", "flu"),
+                &QueryPolicy::default(),
+                &mut rng,
+            )
+            .unwrap()
+            .capability;
+        let fp = ta.system().params().fp();
+        cap.key.dec.0[2] = apks_curve::G1Affine::new_unchecked(fp.zero(), fp.zero());
+        let plan = FaultPlan::new(FaultConfig::default());
+        let policy = RetryPolicy::default();
+        let clock = VirtualClock::new();
+        let ctx = FaultContext::new(&plan, &policy, &clock);
+        let unpreparable = |res: Result<_, SearchOutcome>| {
+            matches!(
+                res,
+                Err(SearchOutcome::Apks(ApksError::Hpe(
+                    apks_hpe::HpeError::UnpreparableKey
+                )))
+            )
+        };
+        assert!(unpreparable(
+            server
+                .scan_bounded(&cap, &ctx, Deadline::NEVER, &Budget::unlimited(), 0)
+                .map(|_| ())
+        ));
+        assert!(unpreparable(server.scan(&cap, 2).map(|_| ())));
+    }
 
     #[test]
     fn degraded_scan_without_faults_equals_plain_scan() {

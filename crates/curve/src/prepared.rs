@@ -10,6 +10,11 @@
 //! Stored line form: `l(Q) = (a + b·x_Q) + i·y_Q` — the imaginary
 //! coefficient of an affine tangent/chord line is always 1, so it is
 //! not stored and evaluation reads `y_Q` directly.
+//!
+//! Affine lines need a field inversion each. [`PreparedG1::new_batch`]
+//! walks all points of a batch (a capability's `n + 3` coordinates) in
+//! lockstep and shares each step's inversion among them, so a batch
+//! pays one inversion per step rather than one per point and step.
 
 use crate::pairing::{final_exponentiation, MillerValue};
 use crate::params::CurveParams;
@@ -19,7 +24,7 @@ use apks_math::fp2::{Fp2, Fp2Ops};
 use apks_math::Fr;
 
 /// One precomputed Miller step.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Step {
     /// A line with coefficients `(a, b)`; evaluation is
     /// `(a + b·x_Q) + i·y_Q`.
@@ -29,74 +34,135 @@ enum Step {
 }
 
 /// A first pairing argument with its Miller lines precomputed.
-#[derive(Clone, Debug)]
+///
+/// One loop iteration's `(Step, Option<Step>)` takes 272 bytes, so a
+/// prepared point (159 iterations on either parameter set) holds about
+/// 43 KB.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PreparedG1 {
     /// `(double-step line, optional add-step line)` per loop iteration.
     steps: Vec<(Step, Option<Step>)>,
     infinity: bool,
 }
 
+/// One point's state in the lockstep walk of [`PreparedG1::new_batch`].
+struct Walk {
+    p: G1Affine,
+    /// The running multiple `T` of `p`.
+    tx: Fp,
+    ty: Fp,
+    /// `T` reached the identity through a vertical chord; every later
+    /// iteration only squares.
+    done: bool,
+    steps: Vec<(Step, Option<Step>)>,
+}
+
+impl Walk {
+    /// The line of slope `lambda` through `T` (`a = λ·x_T − y_T`,
+    /// `b = λ`); moves `T` to the line's third intersection, negated.
+    /// `other_x` is the line's other known abscissa: `x_T` for a
+    /// tangent, `x_P` for a chord.
+    fn line(&mut self, fp: &FpCtx, lambda: Fp, other_x: Fp) -> Step {
+        let a = fp.sub(fp.mul(lambda, self.tx), self.ty);
+        let x3 = fp.sub(fp.sub(fp.sqr(lambda), self.tx), other_x);
+        self.ty = fp.sub(fp.mul(lambda, fp.sub(self.tx, x3)), self.ty);
+        self.tx = x3;
+        Step::Line { a, b: lambda }
+    }
+}
+
 impl PreparedG1 {
-    /// Preprocesses a point.
+    /// Preprocesses a point: a batch of one ([`PreparedG1::new_batch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the walk meets a zero denominator, which only a point
+    /// outside the order-`q` subgroup reaches (e.g. the 2-torsion point
+    /// `(0, 0)`). Untrusted points go through [`PreparedG1::new_batch`].
     pub fn new(params: &CurveParams, p: &G1Affine) -> Self {
+        Self::new_batch(params, std::slice::from_ref(p))
+            .and_then(|mut one| one.pop())
+            .expect("order-q points meet no zero Miller denominator")
+    }
+
+    /// Preprocesses every point of `ps` in one lockstep affine walk.
+    ///
+    /// The points share the loop's bit pattern, so each step inverts the
+    /// line denominators of all live walks together
+    /// ([`FpCtx::batch_inv`]): 160 field inversions for the whole batch
+    /// (159 tangents and one chord, as `q = 2¹⁵⁹ + 2¹⁷ + 1`; the final
+    /// chord is vertical) instead of 160 per point, plus three
+    /// multiplications per point and line. The stored lines are exactly
+    /// those of a one-point walk.
+    ///
+    /// `None` if a walk meets a zero denominator (a tangent at
+    /// `y_T = 0`), which only points outside the order-`q` subgroup
+    /// reach — e.g. the 2-torsion point `(0, 0)`, which
+    /// [`G1Affine::from_bytes`] accepts as on-curve.
+    pub fn new_batch(params: &CurveParams, ps: &[G1Affine]) -> Option<Vec<Self>> {
         let fp = params.fp();
-        if p.infinity {
-            return PreparedG1 {
-                steps: Vec::new(),
-                infinity: true,
-            };
-        }
         let order = Fr::modulus();
         let nbits = order.bits();
-        let mut steps = Vec::with_capacity(nbits - 1);
-
-        // Affine walk with per-step inversion: preprocessing is a one-time
-        // cost, and affine coefficients are what we must store anyway.
-        let mut tx = p.x;
-        let mut ty = p.y;
-        let mut t_inf = false;
+        let mut walks: Vec<Walk> = Vec::with_capacity(ps.len());
+        walks.extend(ps.iter().filter(|p| !p.infinity).map(|p| Walk {
+            p: *p,
+            tx: p.x,
+            ty: p.y,
+            done: false,
+            steps: Vec::with_capacity(nbits - 1),
+        }));
+        let mut den = Vec::with_capacity(walks.len());
         for i in (0..nbits - 1).rev() {
-            let dbl = if t_inf {
-                Step::Skip
-            } else {
-                // tangent: λ = (3x²+1)/(2y); line c0 = λ(x_Q + x_T) − y_T,
-                // so a = λ·x_T − y_T, b = λ.
-                let num = fp.add(fp.add(fp.dbl(fp.sqr(tx)), fp.sqr(tx)), fp.one());
-                let lambda = fp.mul(num, fp.inv(fp.dbl(ty)).expect("y ≠ 0"));
-                let a = fp.sub(fp.mul(lambda, tx), ty);
-                let step = Step::Line { a, b: lambda };
-                let x3 = fp.sub(fp.sqr(lambda), fp.dbl(tx));
-                let y3 = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
-                tx = x3;
-                ty = y3;
-                step
-            };
-            let add = if order.bit(i) && !t_inf {
-                if tx == p.x {
-                    t_inf = true;
-                    Some(Step::Skip)
-                } else {
-                    let lambda = fp.mul(
-                        fp.sub(ty, p.y),
-                        fp.inv(fp.sub(tx, p.x)).expect("distinct x"),
-                    );
-                    let a = fp.sub(fp.mul(lambda, tx), ty);
-                    let step = Step::Line { a, b: lambda };
-                    let x3 = fp.sub(fp.sqr(lambda), fp.add(tx, p.x));
-                    let y3 = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
-                    tx = x3;
-                    ty = y3;
-                    Some(step)
-                }
-            } else {
-                None
-            };
-            steps.push((dbl, add));
+            // tangent: λ = (3x²+1)/(2y)
+            den.clear();
+            den.extend(walks.iter().filter(|w| !w.done).map(|w| fp.dbl(w.ty)));
+            fp.batch_inv(&mut den)?;
+            for w in walks.iter_mut().filter(|w| w.done) {
+                w.steps.push((Step::Skip, None));
+            }
+            for (w, &inv) in walks.iter_mut().filter(|w| !w.done).zip(&den) {
+                let x2 = fp.sqr(w.tx);
+                let num = fp.add(fp.add(fp.dbl(x2), x2), fp.one());
+                let tx = w.tx;
+                let dbl = w.line(fp, fp.mul(num, inv), tx);
+                w.steps.push((dbl, None));
+            }
+            if !order.bit(i) {
+                continue;
+            }
+            // chord: λ = (y_T − y_P)/(x_T − x_P); at x_T = x_P the line
+            // is vertical (T = −P) and the walk ends
+            for w in walks.iter_mut().filter(|w| !w.done && w.tx == w.p.x) {
+                w.done = true;
+                w.steps.last_mut().expect("pushed above").1 = Some(Step::Skip);
+            }
+            den.clear();
+            den.extend(
+                walks
+                    .iter()
+                    .filter(|w| !w.done)
+                    .map(|w| fp.sub(w.tx, w.p.x)),
+            );
+            fp.batch_inv(&mut den)?;
+            for (w, &inv) in walks.iter_mut().filter(|w| !w.done).zip(&den) {
+                let px = w.p.x;
+                let add = w.line(fp, fp.mul(fp.sub(w.ty, w.p.y), inv), px);
+                w.steps.last_mut().expect("pushed above").1 = Some(add);
+            }
         }
-        PreparedG1 {
-            steps,
-            infinity: false,
-        }
+        let mut walked = walks.into_iter().map(|w| w.steps);
+        Some(
+            ps.iter()
+                .map(|p| PreparedG1 {
+                    steps: if p.infinity {
+                        Vec::new()
+                    } else {
+                        walked.next().unwrap_or_default()
+                    },
+                    infinity: p.infinity,
+                })
+                .collect(),
+        )
     }
 
     /// True iff the prepared point is the identity.
@@ -233,10 +299,157 @@ pub fn multi_pairing_prepared_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pairing::{multi_pairing, pairing};
+    use crate::pairing::{miller_affine_reference, multi_pairing, pairing};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The one-point affine walk with a Fermat inversion per line — the
+    /// preparation before batching, kept as the byte-level oracle for
+    /// [`PreparedG1::new_batch`].
+    fn per_point_walk(params: &CurveParams, p: &G1Affine) -> PreparedG1 {
+        let fp = params.fp();
+        if p.infinity {
+            return PreparedG1 {
+                steps: Vec::new(),
+                infinity: true,
+            };
+        }
+        let order = Fr::modulus();
+        let nbits = order.bits();
+        let mut steps = Vec::new();
+        let (mut tx, mut ty, mut t_inf) = (p.x, p.y, false);
+        for i in (0..nbits - 1).rev() {
+            let dbl = if t_inf {
+                Step::Skip
+            } else {
+                let num = fp.add(fp.add(fp.dbl(fp.sqr(tx)), fp.sqr(tx)), fp.one());
+                let lambda = fp.mul(num, fp.inv(fp.dbl(ty)).expect("y ≠ 0"));
+                let a = fp.sub(fp.mul(lambda, tx), ty);
+                let x3 = fp.sub(fp.sqr(lambda), fp.dbl(tx));
+                ty = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
+                tx = x3;
+                Step::Line { a, b: lambda }
+            };
+            let add = if order.bit(i) && !t_inf {
+                if tx == p.x {
+                    t_inf = true;
+                    Some(Step::Skip)
+                } else {
+                    let lambda = fp.mul(fp.sub(ty, p.y), fp.inv(fp.sub(tx, p.x)).unwrap());
+                    let a = fp.sub(fp.mul(lambda, tx), ty);
+                    let x3 = fp.sub(fp.sqr(lambda), fp.add(tx, p.x));
+                    ty = fp.sub(fp.mul(lambda, fp.sub(tx, x3)), ty);
+                    tx = x3;
+                    Some(Step::Line { a, b: lambda })
+                }
+            } else {
+                None
+            };
+            steps.push((dbl, add));
+        }
+        PreparedG1 {
+            steps,
+            infinity: false,
+        }
+    }
+
+    /// Seven random subgroup points with the identity at the first,
+    /// middle and last positions.
+    fn batch_with_identities(params: &CurveParams, rng: &mut StdRng) -> Vec<G1Affine> {
+        (0..7)
+            .map(|k| {
+                if k % 3 == 0 {
+                    G1Affine::identity()
+                } else {
+                    params.mul(&params.generator(), Fr::random(rng))
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_lines_are_byte_identical_to_per_point_walk() {
+        let params = CurveParams::fast();
+        let mut rng = StdRng::seed_from_u64(104);
+        let ps = batch_with_identities(&params, &mut rng);
+        let batch = PreparedG1::new_batch(&params, &ps).unwrap();
+        assert_eq!(batch.len(), ps.len());
+        for (prep, p) in batch.iter().zip(&ps) {
+            assert_eq!(prep.is_infinity(), p.infinity);
+            assert_eq!(*prep, per_point_walk(&params, p));
+        }
+        // one doubling line per bit below the top, and the loop ends on
+        // the vertical chord T = −P
+        let live = &batch[1];
+        assert_eq!(live.steps.len(), Fr::modulus().bits() - 1);
+        assert_eq!(live.steps.last().unwrap().1, Some(Step::Skip));
+        assert_eq!(std::mem::size_of::<(Step, Option<Step>)>(), 272);
+    }
+
+    #[test]
+    fn batch_unreduced_matches_affine_reference() {
+        let params = CurveParams::fast();
+        let fp = params.fp();
+        let mut rng = StdRng::seed_from_u64(105);
+        let ps = batch_with_identities(&params, &mut rng);
+        let q = params.mul(&params.generator(), Fr::random(&mut rng));
+        let batch = PreparedG1::new_batch(&params, &ps).unwrap();
+        for (prep, p) in batch.iter().zip(&ps) {
+            let expected = if p.infinity {
+                fp.fp2_one()
+            } else {
+                miller_affine_reference(fp, p, &q)
+            };
+            assert_eq!(
+                pairing_prepared_unreduced(&params, prep, &q),
+                MillerValue(expected)
+            );
+        }
+    }
+
+    #[test]
+    fn empty_batch_prepares_nothing() {
+        let params = CurveParams::fast();
+        assert_eq!(PreparedG1::new_batch(&params, &[]), Some(Vec::new()));
+    }
+
+    #[test]
+    fn two_torsion_point_fails_the_batch_without_panicking() {
+        let params = CurveParams::fast();
+        let fp = params.fp();
+        let t = G1Affine::new_unchecked(fp.zero(), fp.zero());
+        assert!(t.is_on_curve(fp));
+        assert_eq!(PreparedG1::new_batch(&params, &[t]), None);
+        let g = params.generator();
+        assert_eq!(PreparedG1::new_batch(&params, &[g, t, g]), None);
+    }
+
+    #[test]
+    fn off_subgroup_points_never_panic() {
+        // on-curve points of arbitrary order: either the walk fails or
+        // its lines match the one-point walk
+        let params = CurveParams::fast();
+        let fp = params.fp();
+        let mut rng = StdRng::seed_from_u64(106);
+        let ps: Vec<G1Affine> = std::iter::repeat_with(|| fp.random(&mut rng))
+            .filter_map(|x| {
+                let y = fp.sqrt(fp.add(fp.mul(fp.sqr(x), x), x))?;
+                Some(G1Affine::new_unchecked(x, y))
+            })
+            .take(4)
+            .collect();
+        for p in &ps {
+            if let Some(batch) = PreparedG1::new_batch(&params, std::slice::from_ref(p)) {
+                assert_eq!(batch[0], per_point_walk(&params, p));
+            }
+        }
+        if let Some(batch) = PreparedG1::new_batch(&params, &ps) {
+            for (prep, p) in batch.iter().zip(&ps) {
+                assert_eq!(*prep, per_point_walk(&params, p));
+            }
+        }
+    }
 
     #[test]
     fn prepared_matches_plain() {
@@ -373,6 +586,24 @@ mod tests {
                 pairing_prepared(&params, &prep, &q),
                 pairing(&params, &p, &q)
             );
+        }
+
+        // A point's lines do not depend on the batch around it.
+        #[test]
+        fn prop_batch_entry_equals_batch_of_one(
+            scalars in prop::collection::vec(prop_oneof![0u64..1, any::<u64>()], 1..5)
+        ) {
+            let params = CurveParams::fast();
+            let g = params.generator();
+            let ps: Vec<G1Affine> = scalars
+                .iter()
+                .map(|&s| params.mul(&g, Fr::from_u64(s)))
+                .collect();
+            let batch = PreparedG1::new_batch(&params, &ps).unwrap();
+            for (prep, p) in batch.iter().zip(&ps) {
+                let one = PreparedG1::new_batch(&params, std::slice::from_ref(p)).unwrap();
+                prop_assert_eq!(&one[0], prep);
+            }
         }
     }
 }

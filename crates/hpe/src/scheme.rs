@@ -37,6 +37,10 @@ pub enum HpeError {
     KeyNotDelegatable,
     /// A predicate vector was identically zero.
     ZeroPredicate,
+    /// A key's decryption vector holds a point the Miller walk cannot
+    /// prepare (outside the order-`q` subgroup, e.g. the 2-torsion point
+    /// `(0, 0)`).
+    UnpreparableKey,
 }
 
 impl fmt::Display for HpeError {
@@ -52,6 +56,9 @@ impl fmt::Display for HpeError {
                 write!(f, "key was finalized and cannot be delegated")
             }
             HpeError::ZeroPredicate => write!(f, "predicate vector must be non-zero"),
+            HpeError::UnpreparableKey => {
+                write!(f, "key holds a point outside the order-q subgroup")
+            }
         }
     }
 }
@@ -362,15 +369,22 @@ impl Hpe {
 
     /// Precomputes the Miller lines of `k*_dec` for repeated evaluation.
     ///
-    /// One-time cost of roughly one Miller loop per coordinate (`n₀`
-    /// total); every subsequent [`Hpe::test_prepared`] on the result
-    /// then runs in the paper's "with preprocessing" mode (§VII-B.4) —
-    /// the corpus-scan amortization.
-    pub fn prepare_key(&self, key: &HpeSecretKey) -> PreparedHpeKey {
-        PreparedHpeKey {
+    /// One-time cost of one lockstep walk over all `n₀` coordinates
+    /// ([`PreparedDpvsVector::prepare`]); every subsequent
+    /// [`Hpe::test_prepared`] on the result then runs in the paper's
+    /// "with preprocessing" mode (§VII-B.4) — the corpus-scan
+    /// amortization.
+    ///
+    /// # Errors
+    ///
+    /// [`HpeError::UnpreparableKey`] if `k*_dec` holds a point outside
+    /// the order-`q` subgroup that the walk cannot pass.
+    pub fn prepare_key(&self, key: &HpeSecretKey) -> Result<PreparedHpeKey, HpeError> {
+        Ok(PreparedHpeKey {
             level: key.level,
-            dec: PreparedDpvsVector::prepare(&self.params, &key.dec),
-        }
+            dec: PreparedDpvsVector::prepare(&self.params, &key.dec)
+                .ok_or(HpeError::UnpreparableKey)?,
+        })
     }
 
     /// [`Hpe::decrypt`] with a prepared key: `c₂ / e(c₁, k*_dec)`, the
@@ -576,7 +590,7 @@ mod tests {
         let (hpe, pk, msk, mut rng) = setup(3, 212);
         let (x, v) = orthogonal_pair(&mut rng);
         let key = hpe.gen_key(&pk, &msk, &v, &mut rng).unwrap();
-        let prep = hpe.prepare_key(&key);
+        let prep = hpe.prepare_key(&key).unwrap();
         assert_eq!(prep.dim(), hpe.n0());
         assert_eq!(prep.level, key.level);
 
@@ -587,7 +601,9 @@ mod tests {
             hpe.decrypt_prepared(&pk, &prep, &ct).unwrap(),
             hpe.decrypt(&pk, &key, &ct).unwrap()
         );
-        assert!(hpe.test_prepared(&pk, &hpe.prepare_key(&key), &ct).is_ok());
+        assert!(hpe
+            .test_prepared(&pk, &hpe.prepare_key(&key).unwrap(), &ct)
+            .is_ok());
 
         // non-matching ciphertext: both reject
         let x_bad = vec![
@@ -609,7 +625,7 @@ mod tests {
         let (pk5, msk5) = other.setup(&mut rng2);
         let v5 = vec![Fr::one(), Fr::one(), Fr::one(), Fr::one(), Fr::one()];
         let key5 = other.gen_key(&pk5, &msk5, &v5, &mut rng2).unwrap();
-        let prep5 = other.prepare_key(&key5);
+        let prep5 = other.prepare_key(&key5).unwrap();
         assert!(matches!(
             hpe.test_prepared(&pk, &prep5, &ct_hit),
             Err(HpeError::DimensionMismatch { .. })
@@ -625,9 +641,9 @@ mod tests {
         let miss_key = hpe.gen_key(&pk, &msk, &v_miss, &mut rng).unwrap();
         let ct = hpe.encrypt_marker(&pk, &x, &mut rng).unwrap();
         let preps = [
-            hpe.prepare_key(&hit_key),
-            hpe.prepare_key(&miss_key),
-            hpe.prepare_key(&hit_key),
+            hpe.prepare_key(&hit_key).unwrap(),
+            hpe.prepare_key(&miss_key).unwrap(),
+            hpe.prepare_key(&hit_key).unwrap(),
         ];
         let refs: Vec<&PreparedHpeKey> = preps.iter().collect();
         let wave = hpe.test_prepared_wave(&pk, &refs, &ct).unwrap();
@@ -644,7 +660,9 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(215);
         let (pk5, msk5) = other.setup(&mut rng2);
         let v5 = vec![Fr::one(); 5];
-        let prep5 = other.prepare_key(&other.gen_key(&pk5, &msk5, &v5, &mut rng2).unwrap());
+        let prep5 = other
+            .prepare_key(&other.gen_key(&pk5, &msk5, &v5, &mut rng2).unwrap())
+            .unwrap();
         assert!(matches!(
             hpe.test_prepared_wave(&pk, &[&preps[0], &prep5], &ct),
             Err(HpeError::DimensionMismatch { .. })

@@ -129,6 +129,31 @@ impl FpCtx {
         self.mont.inv(&a.0).map(Fp)
     }
 
+    /// Inverts every element of `values` in place with a single field
+    /// inversion (Montgomery's simultaneous-inversion trick: prefix
+    /// products, one inversion, one backward sweep — three
+    /// multiplications per element). `None`, leaving `values`
+    /// untouched, if any element is zero.
+    pub fn batch_inv(&self, values: &mut [Fp]) -> Option<()> {
+        if values.is_empty() {
+            return Some(());
+        }
+        let mut prefix = Vec::with_capacity(values.len());
+        let mut acc = self.one();
+        for &v in values.iter() {
+            prefix.push(acc);
+            acc = self.mul(acc, v);
+        }
+        // the product is zero iff some element is
+        let mut inv = self.inv(acc)?;
+        for (v, before) in values.iter_mut().zip(prefix).rev() {
+            let v_inv = self.mul(inv, before);
+            inv = self.mul(inv, *v);
+            *v = v_inv;
+        }
+        Some(())
+    }
+
     /// Exponentiation by a plain integer exponent.
     pub fn pow(&self, a: Fp, exp: &UintP) -> Fp {
         Fp(self.mont.pow(&a.0, exp))
@@ -224,6 +249,25 @@ mod tests {
             assert_eq!(ctx.mul(a, ctx.inv(a).unwrap()), ctx.one());
         }
         assert!(ctx.inv(ctx.zero()).is_none());
+    }
+
+    #[test]
+    fn batch_inversion_matches_single() {
+        let ctx = test_ctx();
+        let mut rng = StdRng::seed_from_u64(47);
+        let values: Vec<Fp> = (0..7).map(|_| ctx.random(&mut rng)).collect();
+        let mut batch = values.clone();
+        assert!(ctx.batch_inv(&mut batch).is_some());
+        for (v, inv) in values.iter().zip(&batch) {
+            assert_eq!(ctx.inv(*v), Some(*inv));
+        }
+        assert!(ctx.batch_inv(&mut []).is_some());
+        // a zero anywhere fails the batch and leaves it untouched
+        let mut with_zero = values.clone();
+        with_zero[3] = ctx.zero();
+        let before = with_zero.clone();
+        assert!(ctx.batch_inv(&mut with_zero).is_none());
+        assert_eq!(with_zero, before);
     }
 
     #[test]
