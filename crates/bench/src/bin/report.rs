@@ -489,6 +489,12 @@ fn wave_section() {
     println!();
     println!("## Fig. 8(d) batched — aggregate QPS vs wave depth (virtual ticks)");
     println!();
+    println!(
+        "scan wall ms: wall-clock time inside the server's scan calls, \
+         the measured twin of the tick columns; evaluate workers: {}",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    println!();
     // one burst, everything arrives at tick 0: the unloaded twin with
     // no arrival-gap floor, so throughput is pure scan economics
     let base = OverloadConfig::default();
@@ -501,10 +507,11 @@ fn wave_section() {
     let qps = |ticks: u64| cfg.arrivals as f64 * 1000.0 / ticks.max(1) as f64;
     let baseline_qps = qps(per_query.virtual_ticks);
 
-    println!("| wave depth | waves | virtual ticks | queries/ktick | speed-up | amortized pairings/query |");
-    println!("|------------|-------|---------------|---------------|----------|--------------------------|");
+    let wall_ms = |r: &apks_sim::overload::OverloadReport| r.scan_wall_micros as f64 / 1000.0;
+    println!("| wave depth | waves | virtual ticks | queries/ktick | speed-up | amortized pairings/query | scan wall ms |");
+    println!("|------------|-------|---------------|---------------|----------|--------------------------|--------------|");
     println!(
-        "| per-query | — | {} | {:.1} | 1.00x | {} |",
+        "| per-query | — | {} | {:.1} | 1.00x | {} | {:.1} |",
         per_query.virtual_ticks,
         baseline_qps,
         per_query
@@ -512,6 +519,7 @@ fn wave_section() {
             .counter("cloud.scan.pairings")
             .unwrap_or(0)
             / cfg.arrivals as u64,
+        wall_ms(&per_query),
     );
     let mut at_depth_8 = None;
     for depth in [1usize, 2, 4, 8, 16] {
@@ -531,12 +539,13 @@ fn wave_section() {
             .map(|h| h.sum / h.count.max(1))
             .unwrap_or(0);
         println!(
-            "| {depth} | {} | {} | {:.1} | {:.2}x | {} |",
+            "| {depth} | {} | {} | {:.1} | {:.2}x | {} | {:.1} |",
             r.metrics.counter("cloud.wave.scans").unwrap_or(0),
             r.virtual_ticks,
             qps(r.virtual_ticks),
             speedup,
             amortized,
+            wall_ms(&r),
         );
         if depth == 8 {
             at_depth_8 = Some((speedup, r));

@@ -20,9 +20,10 @@
 //! `evictions`, `oversize`, `bytes_inserted`, `bytes_evicted` counters,
 //! a `decode_ticks` histogram (charged to the injected clock, so
 //! virtual-clock runs stay deterministic), and a `resident_bytes`
-//! histogram sampled after every miss. Touch order under a
-//! single-threaded scan is the scan order, so same-seed runs reproduce
-//! every counter byte for byte.
+//! histogram sampled after every miss. Scans hydrate in plan order
+//! under their evaluate pass's cursor lock, whatever the worker count,
+//! so touch order is the scan order and same-seed runs reproduce every
+//! counter byte for byte.
 
 use crate::server::DocumentId;
 use apks_core::{ApksSystem, EncryptedIndex};

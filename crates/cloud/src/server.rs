@@ -14,11 +14,11 @@ use apks_store::StoreConfig;
 use apks_telemetry::source::{self, SourceCounts};
 use apks_telemetry::{Clock, MetricsRegistry, MetricsSnapshot, Span, WallClock};
 use core::fmt;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An opaque document identifier assigned at upload.
 pub type DocumentId = u64;
@@ -113,6 +113,14 @@ pub struct WaveRequest<'a> {
     pub deadline: Deadline,
     /// The query's own pairing budget, charged per document.
     pub budget: &'a Budget,
+}
+
+/// Worker threads a scan's evaluate pass may use: the cores this
+/// process may run on (`available_parallelism` honours the CPU affinity
+/// mask), read once.
+fn default_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The telemetry namespace one run of the wave kernel writes: a solo
@@ -569,20 +577,24 @@ impl CloudServer {
     /// not measuring the authorization layer.
     ///
     /// The capability's Miller lines are precomputed **once per search**
-    /// and shared (by reference) across all worker threads, so every
+    /// and shared (by reference) across all workers, so every
     /// per-document pairing runs in the paper's "with preprocessing"
     /// mode (§VII-B.4). The one-time cost is reported in
-    /// [`SearchStats::prepare_micros`].
+    /// [`SearchStats::prepare_micros`]. The pairings run on the scan
+    /// kernel's evaluate pass with `threads` workers; results and
+    /// counters do not depend on `threads`.
     ///
     /// This is the strict path: wall-clocked per-document spans, and a
     /// document the backend cannot materialize fails the whole scan
-    /// instead of degrading it. Bounded and fault-tolerant scans go
-    /// through [`CloudServer::scan_bounded`] and
+    /// instead of degrading it — with the failure at the lowest store
+    /// position, whatever the worker count. Bounded and fault-tolerant
+    /// scans go through [`CloudServer::scan_bounded`] and
     /// [`CloudServer::scan_wave`].
     ///
     /// # Errors
     ///
-    /// Fails on deployment mismatch.
+    /// Fails on deployment mismatch or on the first document the
+    /// backend cannot materialize or evaluate.
     pub fn scan(
         &self,
         cap: &Capability,
@@ -596,55 +608,23 @@ impl CloudServer {
             self.prepare_measured(cap, clock, "cloud.scan.prepare_ticks");
         let prepared = prepared?;
 
-        // Each worker measures its own source-counter delta and hands it
-        // back; summing the deltas is deterministic for any thread count.
-        type Part = (Result<Vec<DocumentId>, SearchOutcome>, SourceCounts);
-        let scan_part = |range: std::ops::Range<usize>| -> Part {
-            source::measure(|| {
-                let mut out = Vec::new();
-                for pos in range {
-                    let Some(id) = self.store.doc_id(pos) else {
-                        break;
-                    };
-                    let idx = self.store.hydrate(pos).map_err(SearchOutcome::Corpus)?;
-                    let span = Span::start(clock, &doc_hist);
-                    let matched = self.system.search_prepared(&self.pk, &prepared, &idx);
-                    span.finish();
-                    if matched.map_err(SearchOutcome::Apks)? {
-                        out.push(id);
-                    }
-                }
-                Ok(out)
-            })
-        };
-
+        let ids = self.ids_tail(0, scanned);
+        let positions: Vec<usize> = (0..ids.len()).collect();
         let scan_start = clock.now_ticks();
-        let parts: Vec<Part> = if threads <= 1 {
-            vec![scan_part(0..scanned)]
-        } else {
-            let chunk = scanned.div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut start = 0;
-                while start < scanned {
-                    let end = (start + chunk).min(scanned);
-                    let scan_part = &scan_part;
-                    handles.push(scope.spawn(move || scan_part(start..end)));
-                    start = end;
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        };
+        let (slots, scan_counts) = self.evaluate_pass(&positions, threads, true, &|_, idx| {
+            let span = Span::start(clock, &doc_hist);
+            let matched = self.system.search_prepared(&self.pk, &prepared, idx);
+            span.finish();
+            matched.map_err(SearchOutcome::Apks)
+        });
         let scan_micros = clock.now_ticks().saturating_sub(scan_start);
 
         let mut matches = Vec::new();
-        let mut scan_counts = SourceCounts::default();
-        for (res, counts) in parts {
-            scan_counts += counts;
-            matches.extend(res?);
+        for (&id, slot) in ids.iter().zip(slots) {
+            // a strict pass fills every slot up to its first failure
+            if slot.expect("slot before the first failure")? {
+                matches.push(id);
+            }
         }
         matches.sort_unstable();
 
@@ -669,6 +649,93 @@ impl CloudServer {
             ..SearchStats::default()
         };
         Ok((matches, stats))
+    }
+
+    /// The evaluate pass shared by every scan: `workers` threads — the
+    /// calling thread among them, none spawned for a single position —
+    /// draw `positions` from one ordered cursor. Each worker hydrates
+    /// its document **while holding the cursor's lock**, so the backend
+    /// is touched in exactly the order of a serial walk (the
+    /// [`PagedBackend`] LRU and every `cloud.hydrate.*` counter are
+    /// those of a one-worker pass), then runs `eval` outside the lock,
+    /// so page reads overlap other workers' pairings. `eval` gets the
+    /// position's index into `positions`.
+    ///
+    /// Slot `i` holds the outcome for `positions[i]`; a failed hydration
+    /// is `Err(SearchOutcome::Corpus)`. Without `strict` every slot is
+    /// filled. With `strict` the first failure stops the cursor: every
+    /// earlier position has already been handed out and finishes, so
+    /// the first `Err` in slot order is the lowest-position failure, and
+    /// slots after it may stay `None`.
+    ///
+    /// Returns the slots and the sum of each worker's own source-counter
+    /// delta, which is exact for any worker count.
+    fn evaluate_pass<T: Send>(
+        &self,
+        positions: &[usize],
+        workers: usize,
+        strict: bool,
+        eval: &(dyn Fn(usize, &EncryptedIndex) -> Result<T, SearchOutcome> + Sync),
+    ) -> (Vec<Option<Result<T, SearchOutcome>>>, SourceCounts) {
+        /// Next slot to hand out; `stopped` once a strict pass failed.
+        struct Cursor {
+            next: usize,
+            stopped: bool,
+        }
+        let cursor = Mutex::new(Cursor {
+            next: 0,
+            stopped: false,
+        });
+        type Done<T> = Vec<(usize, Result<T, SearchOutcome>)>;
+        let work = || -> (Done<T>, SourceCounts) {
+            source::measure(|| {
+                let mut done = Vec::new();
+                loop {
+                    let (slot, idx) = {
+                        let mut c = cursor.lock();
+                        if c.stopped || c.next == positions.len() {
+                            break;
+                        }
+                        let slot = c.next;
+                        c.next += 1;
+                        (slot, self.store.hydrate(positions[slot]))
+                    };
+                    let out = idx
+                        .map_err(SearchOutcome::Corpus)
+                        .and_then(|idx| eval(slot, &idx));
+                    if strict && out.is_err() {
+                        cursor.lock().stopped = true;
+                    }
+                    done.push((slot, out));
+                }
+                done
+            })
+        };
+        let workers = workers.clamp(1, positions.len().max(1));
+        let parts: Vec<(Done<T>, SourceCounts)> = if workers == 1 {
+            vec![work()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+                let mut parts = vec![work()];
+                parts.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("scan worker panicked")),
+                );
+                parts
+            })
+        };
+        let mut slots: Vec<Option<Result<T, SearchOutcome>>> =
+            (0..positions.len()).map(|_| None).collect();
+        let mut counts = SourceCounts::default();
+        for (done, part_counts) in parts {
+            counts += part_counts;
+            for (slot, out) in done {
+                slots[slot] = Some(out);
+            }
+        }
+        (slots, counts)
     }
 
     /// Resolves a document's injected fault: whether evaluation may
@@ -748,11 +815,16 @@ impl CloudServer {
     /// [`Deadline::NEVER`], [`Budget::unlimited`] and `doc_cost_ticks =
     /// 0` give a plain degraded-mode scan.
     ///
-    /// The scan is sequential by design: deadline checks read the shared
-    /// clock, so a thread pool would make the cut point — and therefore
-    /// the result — depend on scheduling. Everything the scan did *not*
-    /// do is explicit: [`DegradedScan::unscanned`] lists the documents
-    /// never reached, and [`SearchStats::deadline_expired`] /
+    /// Deadline checks read the shared virtual clock, yet the scan uses
+    /// every core without letting scheduling move a cut point: a serial
+    /// plan pass applies the bounds, charges the clock and resolves the
+    /// faults — each a pure function of the document, none reading a
+    /// pairing result — and only then do workers evaluate the planned
+    /// documents and a serial merge collects the verdicts in document
+    /// order, so the result equals the one-worker walk byte for byte.
+    /// Everything the scan did *not* do is explicit:
+    /// [`DegradedScan::unscanned`] lists the documents never reached,
+    /// and [`SearchStats::deadline_expired`] /
     /// [`SearchStats::budget_exhausted`] say why.
     ///
     /// A request whose deadline has already expired on entry performs no
@@ -777,7 +849,13 @@ impl CloudServer {
             deadline,
             budget,
         };
-        let mut out = self.wave_kernel(&[request], ctx, doc_cost_ticks, Ledger::Solo)?;
+        let mut out = self.wave_kernel(
+            &[request],
+            ctx,
+            doc_cost_ticks,
+            Ledger::Solo,
+            default_workers(),
+        )?;
         Ok(out.pop().expect("a wave of one settles one query"))
     }
 
@@ -853,18 +931,32 @@ impl CloudServer {
         ctx: &FaultContext<'_>,
         doc_cost_ticks: u64,
     ) -> Result<Vec<DegradedScan>, SearchOutcome> {
-        self.wave_kernel(requests, ctx, doc_cost_ticks, Ledger::Wave)
+        self.wave_kernel(
+            requests,
+            ctx,
+            doc_cost_ticks,
+            Ledger::Wave,
+            default_workers(),
+        )
     }
 
     /// The one fault-, deadline- and budget-aware corpus walk behind
     /// [`CloudServer::scan_wave`] and [`CloudServer::scan_bounded`];
-    /// `ledger` picks the telemetry namespace.
+    /// `ledger` picks the telemetry namespace and `workers` caps the
+    /// evaluate pass's threads (results never depend on it).
+    ///
+    /// Three passes: a serial *plan* walk applies every bound, clock
+    /// charge and fault — all pure functions of the document — and
+    /// lists the documents to evaluate; the *evaluate* pass runs their
+    /// pairings on [`CloudServer::evaluate_pass`]; a serial *merge*
+    /// fans the verdicts out in document order.
     fn wave_kernel(
         &self,
         requests: &[WaveRequest<'_>],
         ctx: &FaultContext<'_>,
         doc_cost_ticks: u64,
         ledger: Ledger,
+        workers: usize,
     ) -> Result<Vec<DegradedScan>, SearchOutcome> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -977,90 +1069,130 @@ impl CloudServer {
             prepared[q.cap_idx] = Some(res?);
         }
 
+        /// One document the plan pass reached.
+        struct Planned {
+            pos: usize,
+            id: DocumentId,
+            /// Live queries that reached the document, in wave order.
+            survivors: Vec<usize>,
+            /// Retries spent resolving the document's injected fault.
+            retries: usize,
+            /// Distinct capability slots among the survivors, in
+            /// first-survivor order — duplicates ride along on one
+            /// evaluation. `None` when the injected fault skips the
+            /// document.
+            caps: Option<Vec<usize>>,
+        }
+
+        // Plan: the serial walk without hydration or pairings. Nothing
+        // here reads an evaluation result, so the cut points, clock and
+        // budgets are those of a walk that evaluates as it goes.
         let doc_hist = solo_hist.unwrap_or_else(|| self.metrics.histogram(&doc_ticks));
-        let mut docs_touched = 0u64;
-        let mut shared_evals = 0u64;
+        let mut planned: Vec<Planned> = Vec::new();
         let scan_start = clock.now_ticks();
-        let ((), scan_counts) = source::measure(|| {
-            for pos in 0..total {
-                let Some(id) = self.store.doc_id(pos) else {
-                    break;
-                };
-                // Each live query's bounds, in wave order — the same
-                // deadline-then-budget order a solo scan applies.
-                let mut survivors: Vec<usize> = Vec::new();
-                for (qi, q) in states.iter_mut().enumerate() {
-                    if q.cut_pos.is_some() {
-                        continue;
-                    }
-                    if requests[qi].deadline.expired_at(clock.now_ticks()) {
-                        q.deadline_expired = true;
-                    } else if !requests[qi].budget.try_charge(doc_pairings) {
-                        q.budget_exhausted = true;
-                    } else {
-                        survivors.push(qi);
-                        continue;
-                    }
-                    q.cut_pos = Some(pos);
+        for pos in 0..total {
+            let Some(id) = self.store.doc_id(pos) else {
+                break;
+            };
+            // Each live query's bounds, in wave order — the same
+            // deadline-then-budget order a solo scan applies.
+            let mut survivors: Vec<usize> = Vec::new();
+            for (qi, q) in states.iter_mut().enumerate() {
+                if q.cut_pos.is_some() {
+                    continue;
                 }
-                if survivors.is_empty() {
-                    break;
-                }
-                docs_touched += 1;
-                // One load + one service charge for the whole wave.
-                ctx.clock.advance(doc_cost_ticks);
-                let (evaluable, retries, charged) = Self::resolve_doc_fault(ctx, id);
-                doc_hist.record(charged + doc_cost_ticks);
-                // One hydration for the whole wave — and only now, when
-                // some survivor will actually evaluate the document. A
-                // document the backend cannot materialize, or whose
-                // evaluation errors, degrades for the survivors exactly
-                // like an injected fault.
-                let idx = if evaluable {
-                    self.store.hydrate(pos).ok()
+                if requests[qi].deadline.expired_at(clock.now_ticks()) {
+                    q.deadline_expired = true;
+                } else if !requests[qi].budget.try_charge(doc_pairings) {
+                    q.budget_exhausted = true;
                 } else {
-                    None
-                };
-                let evaluated = idx.and_then(|idx| {
-                    // Distinct capabilities among this document's
-                    // survivors: duplicates ride along on one evaluation.
-                    let mut wave_caps: Vec<usize> = Vec::new();
-                    for &qi in &survivors {
-                        if !wave_caps.contains(&states[qi].cap_idx) {
-                            wave_caps.push(states[qi].cap_idx);
-                        }
-                    }
-                    shared_evals += (survivors.len() - wave_caps.len()) as u64;
-                    let cap_refs: Vec<&PreparedCapability> = wave_caps
-                        .iter()
-                        .map(|&ci| {
-                            &**prepared[ci]
-                                .as_ref()
-                                .expect("live query's capability prepared")
-                        })
-                        .collect();
-                    let verdicts = self.system.search_prepared_wave(&self.pk, &cap_refs, &idx);
-                    Some((wave_caps, verdicts.ok()?))
-                });
+                    survivors.push(qi);
+                    continue;
+                }
+                q.cut_pos = Some(pos);
+            }
+            if survivors.is_empty() {
+                break;
+            }
+            // One load + one service charge for the whole wave.
+            ctx.clock.advance(doc_cost_ticks);
+            let (evaluable, retries, charged) = Self::resolve_doc_fault(ctx, id);
+            doc_hist.record(charged + doc_cost_ticks);
+            let caps = evaluable.then(|| {
+                let mut caps: Vec<usize> = Vec::new();
                 for &qi in &survivors {
-                    let q = &mut states[qi];
-                    q.retries += retries;
-                    match &evaluated {
-                        Some((wave_caps, verdicts)) => {
-                            let slot = wave_caps
-                                .iter()
-                                .position(|&ci| ci == q.cap_idx)
-                                .expect("survivor's capability in wave");
-                            q.evals += 1;
-                            if verdicts[slot] {
-                                q.matches.push(id);
-                            }
-                        }
-                        None => q.faulted.push(id),
+                    if !caps.contains(&states[qi].cap_idx) {
+                        caps.push(states[qi].cap_idx);
                     }
+                }
+                caps
+            });
+            planned.push(Planned {
+                pos,
+                id,
+                survivors,
+                retries,
+                caps,
+            });
+        }
+
+        // Evaluate: one hydration and one lockstep multi-pairing per
+        // evaluable document, for the whole wave. `Ok(None)` is an
+        // evaluation error; both it and a failed hydration degrade the
+        // document for its survivors exactly like an injected fault.
+        let jobs: Vec<&Planned> = planned.iter().filter(|p| p.caps.is_some()).collect();
+        let positions: Vec<usize> = jobs.iter().map(|p| p.pos).collect();
+        let (slots, scan_counts) = self.evaluate_pass(&positions, workers, false, &|job, idx| {
+            let caps = jobs[job].caps.as_deref().expect("jobs are evaluable");
+            let cap_refs: Vec<&PreparedCapability> = caps
+                .iter()
+                .map(|&ci| {
+                    &**prepared[ci]
+                        .as_ref()
+                        .expect("live query's capability prepared")
+                })
+                .collect();
+            Ok(self
+                .system
+                .search_prepared_wave(&self.pk, &cap_refs, idx)
+                .ok())
+        });
+
+        // Merge, in document order.
+        let mut slots = slots.into_iter();
+        let mut shared_evals = 0u64;
+        for p in &planned {
+            let verdicts = p.caps.as_ref().and_then(|caps| {
+                match slots
+                    .next()
+                    .flatten()
+                    .expect("a lenient pass fills every slot")
+                {
+                    Ok(verdicts) => {
+                        shared_evals += (p.survivors.len() - caps.len()) as u64;
+                        verdicts.map(|v| (caps, v))
+                    }
+                    Err(_) => None,
+                }
+            });
+            for &qi in &p.survivors {
+                let q = &mut states[qi];
+                q.retries += p.retries;
+                match &verdicts {
+                    Some((caps, verdicts)) => {
+                        let slot = caps
+                            .iter()
+                            .position(|&ci| ci == q.cap_idx)
+                            .expect("survivor's capability in wave");
+                        q.evals += 1;
+                        if verdicts[slot] {
+                            q.matches.push(p.id);
+                        }
+                    }
+                    None => q.faulted.push(p.id),
                 }
             }
-        });
+        }
         let scan_micros = clock.now_ticks().saturating_sub(scan_start);
 
         let out: Vec<DegradedScan> = states
@@ -1092,7 +1224,7 @@ impl CloudServer {
                 m.add("cloud.wave.scans", 1);
                 m.record("cloud.wave.size", requests.len() as u64);
                 m.record("cloud.wave.distinct_caps", distinct.len() as u64);
-                m.add("cloud.wave.docs", docs_touched);
+                m.add("cloud.wave.docs", planned.len() as u64);
                 m.add("cloud.wave.shared_evals", shared_evals);
                 m.record(
                     "cloud.wave.amortized_pairings_per_query",
@@ -1967,5 +2099,342 @@ mod tests {
         assert!(wave[0].matches.iter().all(|id| plain.contains(id)));
         assert_eq!(wave[1].matches, plain, "the patient query finishes");
         assert!(!wave[1].stats.deadline_expired);
+    }
+
+    /// Corpus, capabilities and sizes shared by the worker-count tests.
+    struct WorkerFixture {
+        ta: TrustedAuthority,
+        docs: Vec<EncryptedIndex>,
+        caps: Vec<Capability>,
+        /// Canonical payload bytes of one stored index.
+        doc_bytes: usize,
+    }
+
+    impl WorkerFixture {
+        /// Paged corpora keep about two documents per page, so one
+        /// corrupt page faults a strict subset of the corpus.
+        fn store_config(&self) -> StoreConfig {
+            StoreConfig {
+                page_size: (2 * self.doc_bytes + 128)
+                    .clamp(apks_store::MIN_PAGE_SIZE, apks_store::MAX_PAGE_SIZE),
+                ..StoreConfig::default()
+            }
+        }
+    }
+
+    fn worker_fixture() -> &'static WorkerFixture {
+        static FX: OnceLock<WorkerFixture> = OnceLock::new();
+        FX.get_or_init(|| {
+            let (_, ta, mut rng) = deployment();
+            let (sys, pk) = (ta.system(), ta.public_key());
+            let docs: Vec<EncryptedIndex> = (0..10)
+                .map(|i| {
+                    let illness = ["flu", "diabetes", "cancer"][i % 3];
+                    let sex = ["female", "male"][i % 2];
+                    let rec = Record::new(vec![FieldValue::text(illness), FieldValue::text(sex)]);
+                    sys.gen_index(pk, &rec, &mut rng).unwrap()
+                })
+                .collect();
+            let caps = ["flu", "diabetes", "cancer"]
+                .into_iter()
+                .map(|illness| {
+                    ta.issue_capability(
+                        &Query::new().equals("illness", illness),
+                        &QueryPolicy::default(),
+                        &mut rng,
+                    )
+                    .unwrap()
+                    .capability
+                })
+                .collect();
+            let mut w = Writer::new();
+            docs[0].encode(sys.params(), &mut w);
+            let doc_bytes = w.finish().len();
+            WorkerFixture {
+                ta,
+                docs,
+                caps,
+                doc_bytes,
+            }
+        })
+    }
+
+    /// A scratch directory removed on drop.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl ScratchDir {
+        fn new() -> ScratchDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "apks-cloud-workers-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            ScratchDir(dir)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A backend that logs the position of every hydration as it
+    /// completes. Each hydration first takes a page read's worth of
+    /// time, so hydrations that were not serialized in cursor order
+    /// would show up out of order in the log.
+    struct TouchLog {
+        inner: Box<dyn CorpusBackend>,
+        log: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl CorpusBackend for TouchLog {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn doc_id(&self, pos: usize) -> Option<DocumentId> {
+            self.inner.doc_id(pos)
+        }
+        fn doc_ids(&self) -> Vec<DocumentId> {
+            self.inner.doc_ids()
+        }
+        fn ids_from(&self, pos: usize) -> Vec<DocumentId> {
+            self.inner.ids_from(pos)
+        }
+        fn push(&self, id: DocumentId, index: EncryptedIndex) -> Result<bool, CorpusError> {
+            self.inner.push(id, index)
+        }
+        fn hydrate(&self, pos: usize) -> Result<Arc<EncryptedIndex>, CorpusError> {
+            let out = self.inner.hydrate(pos);
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            self.log.lock().push(pos);
+            out
+        }
+    }
+
+    /// A fresh server over the fixture corpus with its own registry,
+    /// in memory or — with `paged` — on disk behind an LRU that holds
+    /// a third of the corpus, plus its backend's hydration log.
+    fn worker_server(
+        paged: Option<&Path>,
+        clock: Arc<VirtualClock>,
+    ) -> (CloudServer, Arc<Mutex<Vec<usize>>>) {
+        let fx = worker_fixture();
+        let (sys, pk, ibs) = (fx.ta.system(), fx.ta.public_key(), fx.ta.ibs_params());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let inner: Box<dyn CorpusBackend> = match paged {
+            None => Box::new(MemoryBackend::new()),
+            Some(dir) => Box::new(
+                PagedBackend::open(
+                    sys.clone(),
+                    dir,
+                    fx.store_config(),
+                    HydrateConfig {
+                        cache_budget_bytes: fx.doc_bytes * fx.docs.len() / 3,
+                    },
+                    metrics.clone(),
+                    clock.clone(),
+                )
+                .unwrap(),
+            ),
+        };
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let backend = TouchLog {
+            inner,
+            log: log.clone(),
+        };
+        let server = CloudServer::with_backend(
+            sys.clone(),
+            pk.clone(),
+            ibs.clone(),
+            metrics,
+            clock,
+            Box::new(backend),
+        );
+        server.upload_many(fx.docs.clone());
+        (server, log)
+    }
+
+    /// One worker-count case: the fault plan, the wave (capability,
+    /// deadline tick or `None`, budget in documents or `None`), the
+    /// ledger, the per-document service cost, and the corpus: in
+    /// memory, paged, or paged with its middle page corrupted on disk
+    /// after the store opened.
+    struct WorkerCase {
+        faults: FaultConfig,
+        queries: Vec<(usize, Option<u64>, Option<u64>)>,
+        ledger: Ledger,
+        doc_cost_ticks: u64,
+        paged: bool,
+        corrupt: bool,
+    }
+
+    /// What one run of a case produced: the per-query results, the
+    /// canonical metrics bytes and the hydration log after the kernel,
+    /// and a strict scan of the first capability run after it.
+    type WorkerRun = (
+        Vec<DegradedScan>,
+        Vec<u8>,
+        Vec<usize>,
+        Result<(Vec<DocumentId>, SearchStats), SearchOutcome>,
+    );
+
+    /// Flips one cell byte of the middle page of the store's single
+    /// segment, so that page fails its checksum on the next read.
+    fn corrupt_middle_page(dir: &Path) {
+        let segments: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(segments.len(), 1, "{segments:?}");
+        let page = worker_fixture().store_config().page_size;
+        let mut bytes = std::fs::read(&segments[0]).unwrap();
+        let pages = (bytes.len() - apks_store::SEGMENT_HEADER_LEN) / page;
+        assert!(pages >= 3, "want a middle page; got {pages}");
+        bytes[apks_store::SEGMENT_HEADER_LEN + (pages / 2 + 1) * page - 10] ^= 0x01;
+        std::fs::write(&segments[0], &bytes).unwrap();
+    }
+
+    /// Runs `case` on a fresh server with `workers` evaluate workers.
+    fn run_workers(case: &WorkerCase, workers: usize) -> WorkerRun {
+        let fx = worker_fixture();
+        let clock = Arc::new(VirtualClock::new());
+        let dir = case.paged.then(ScratchDir::new);
+        let (server, log) = worker_server(dir.as_ref().map(|d| d.0.as_path()), clock.clone());
+        if case.corrupt {
+            // the probe seals the segment, so the page is on disk
+            server.probe().unwrap();
+            corrupt_middle_page(&dir.as_ref().expect("a corrupt case is paged").0);
+        }
+        let n0 = (fx.ta.system().n() + 3) as u64;
+        let budgets: Vec<Budget> = case
+            .queries
+            .iter()
+            .map(|&(_, _, docs)| docs.map_or_else(Budget::unlimited, |d| Budget::pairings(d * n0)))
+            .collect();
+        let requests: Vec<WaveRequest<'_>> = case
+            .queries
+            .iter()
+            .zip(&budgets)
+            .map(|(&(c, deadline, _), budget)| WaveRequest {
+                cap: &fx.caps[c],
+                deadline: deadline.map_or(Deadline::NEVER, Deadline::at),
+                budget,
+            })
+            .collect();
+        let plan = FaultPlan::new(case.faults.clone());
+        let policy = RetryPolicy::default();
+        let ctx = FaultContext::new(&plan, &policy, &clock);
+        let out = server
+            .wave_kernel(&requests, &ctx, case.doc_cost_ticks, case.ledger, workers)
+            .unwrap();
+        // a failing strict scan's workers may hydrate past the failure
+        // before the cursor stops, so metrics and log are read before it
+        let bytes = server.metrics_snapshot().canonical_bytes();
+        let touched = log.lock().clone();
+        let strict = server.scan(&fx.caps[case.queries[0].0], workers);
+        (out, bytes, touched, strict)
+    }
+
+    /// Every worker count reproduces the one-worker run.
+    fn assert_worker_invariant(case: &WorkerCase) -> WorkerRun {
+        let serial = run_workers(case, 1);
+        for workers in [2, 3, 8] {
+            let (out, bytes, touched, strict) = run_workers(case, workers);
+            assert_eq!(out, serial.0, "results moved at {workers} workers");
+            assert!(bytes == serial.1, "metrics moved at {workers} workers");
+            assert_eq!(
+                touched, serial.2,
+                "hydration order moved at {workers} workers"
+            );
+            assert_eq!(strict, serial.3, "strict scan moved at {workers} workers");
+        }
+        serial
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The evaluate pass's worker count never changes a scan: not
+        /// its per-query results, and not one byte of the metrics
+        /// (`cloud.hydrate.*` included), over memory and evicting paged
+        /// corpora, under faults, live deadlines, finite budgets and
+        /// duplicate capabilities, on both ledgers.
+        #[test]
+        fn worker_count_never_changes_a_scan(
+            fault_seed in 0u64..1000,
+            poisoned in 0u32..300,
+            flaky in 0u32..400,
+            slow in 0u32..400,
+            queries in proptest::collection::vec((0usize..3, 0u64..60, 0u64..14), 1..5),
+            solo in proptest::prelude::any::<bool>(),
+            doc_cost_ticks in 0u64..6,
+        ) {
+            let mut queries: Vec<(usize, Option<u64>, Option<u64>)> = queries
+                .into_iter()
+                .map(|(c, tick, docs)| (c, (tick < 40).then_some(tick), (docs < 11).then_some(docs)))
+                .collect();
+            if solo {
+                queries.truncate(1);
+            }
+            let mut case = WorkerCase {
+                faults: FaultConfig {
+                    seed: fault_seed,
+                    poisoned_doc_permille: poisoned,
+                    flaky_doc_permille: flaky,
+                    slow_doc_permille: slow,
+                    max_fault_burst: 5,
+                    slow_doc_ticks: 4,
+                    ..FaultConfig::default()
+                },
+                queries,
+                ledger: if solo { Ledger::Solo } else { Ledger::Wave },
+                doc_cost_ticks,
+                paged: false,
+                corrupt: false,
+            };
+            let _ = assert_worker_invariant(&case);
+            case.paged = true;
+            let _ = assert_worker_invariant(&case);
+        }
+    }
+
+    /// A page that fails its checksum mid-corpus degrades exactly the
+    /// documents on it, for every worker count, and the strict scan
+    /// fails with the same lowest-position error for every thread count.
+    #[test]
+    fn corrupt_page_mid_corpus_is_worker_count_invariant() {
+        let fx = worker_fixture();
+        let case = WorkerCase {
+            faults: FaultConfig::default(),
+            queries: vec![
+                (0, None, None),
+                (1, None, None),
+                (0, None, None),
+                (2, None, None),
+            ],
+            ledger: Ledger::Wave,
+            doc_cost_ticks: 1,
+            paged: true,
+            corrupt: true,
+        };
+        let (serial, _, _, strict) = assert_worker_invariant(&case);
+        let faulted = &serial[0].faulted;
+        assert!(
+            !faulted.is_empty()
+                && faulted[0] > 0
+                && *faulted.last().unwrap() < fx.docs.len() as u64 - 1,
+            "the corrupt page must fault documents mid-corpus: {faulted:?}"
+        );
+        assert!(serial.iter().all(|d| d.faulted == *faulted));
+        assert!(matches!(
+            strict,
+            Err(SearchOutcome::Corpus(CorpusError::Store(
+                apks_store::StoreError::PageChecksumMismatch { .. }
+            )))
+        ));
     }
 }

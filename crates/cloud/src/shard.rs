@@ -32,6 +32,11 @@
 //!   forked at the scatter tick, and the shared clock advances by the
 //!   **slowest** shard's elapsed time. This is the latency model: wave
 //!   p99 is straggler-defined, which is what the sharded sim measures.
+//!   It models concurrency on the virtual clock only: in wall time the
+//!   partitions still run one after another, each using every core
+//!   inside its own scan kernel. Per-shard threads are left out because
+//!   a query's liveness and its budget carry from one partition into
+//!   the next.
 //!
 //! # Stragglers and breakers
 //!
@@ -85,7 +90,8 @@ pub enum ClockModel {
     /// single node over the shard-order-concatenated corpus.
     Serial,
     /// Shards scan concurrently on forked child clocks; the shared
-    /// clock advances by the straggler's elapsed time.
+    /// clock advances by the straggler's elapsed time. In wall time the
+    /// partitions still scan one after another.
     Parallel,
 }
 

@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Overload scenario knobs. All times are virtual ticks.
 #[derive(Clone, Debug)]
@@ -160,6 +161,11 @@ pub struct OverloadReport {
     pub docs_stored: usize,
     /// Final virtual-clock reading.
     pub virtual_ticks: u64,
+    /// Wall-clock microseconds spent inside the server's scan calls —
+    /// the measured twin of the scan share of `virtual_ticks` (0 on the
+    /// framed path). Differs run to run, so it stays out of
+    /// [`OverloadReport::canonical_bytes`].
+    pub scan_wall_micros: u64,
     /// Per-request ledger, in arrival order.
     pub requests: Vec<RequestRecord>,
     /// Proxy breaker states after the run (`(replica id, state label)`).
@@ -502,9 +508,11 @@ pub fn run_overload(config: &OverloadConfig) -> Result<OverloadReport, AuthzErro
                     Deadline::at(tick.saturating_add(config.deadline_ticks))
                 };
                 let budget = Budget::pairings(config.pairing_budget);
+                let wall = Instant::now();
                 let d = server
                     .search_bounded(&entry.cap, &ctx, deadline, &budget, config.doc_cost_ticks)
                     .expect("registered issuer");
+                report.scan_wall_micros += wall.elapsed().as_micros() as u64;
                 report.deadline_expired += usize::from(d.stats.deadline_expired);
                 report.budget_exhausted += usize::from(d.stats.budget_exhausted);
                 report.unscanned_docs += d.stats.unscanned_docs;
@@ -611,9 +619,11 @@ pub fn run_overload_batched(
             .iter()
             .map(|(_, p)| (&catalog[p.entry].cap, p.deadline, &p.budget))
             .collect();
+        let wall = Instant::now();
         let scans = server
             .search_batched(&reqs, &ctx, config.doc_cost_ticks)
             .expect("registered issuer");
+        report.scan_wall_micros += wall.elapsed().as_micros() as u64;
         let finish = clock.now();
         let mut done = Vec::with_capacity(members.len());
         for ((id, p), d) in members.iter().zip(scans) {
